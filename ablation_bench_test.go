@@ -156,12 +156,17 @@ func benchWorkerCounts() []int {
 func BenchmarkBackendMIP(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			runBackendBench(b, "mip", backend.Config{Solver: solver.Config{
-				Phase1TimeLimit: 20 * time.Second, Phase2TimeLimit: 5 * time.Second,
-				MaxNodes: 180, SharedBufferFraction: -1,
-			}}, w)
+			runBackendBench(b, "mip", backend.Config{Solver: ablationSolver}, w)
 		})
 	}
+}
+
+// ablationSolver is the solver configuration of the ablation-workload
+// backend benches. The local-search bench shares it, so both are scored by
+// the same objective weights and shared-buffer setting.
+var ablationSolver = solver.Config{
+	Phase1TimeLimit: 20 * time.Second, Phase2TimeLimit: 5 * time.Second,
+	MaxNodes: 180, SharedBufferFraction: -1,
 }
 
 // BenchmarkBackendMIPLarge solves the 10× region through the same MIP
@@ -186,6 +191,7 @@ func BenchmarkBackendLocalSearch(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			runBackendBench(b, "localsearch", backend.Config{
+				Solver:      ablationSolver,
 				LocalSearch: localsearch.Config{TimeLimit: 2 * time.Second, Seed: 9},
 			}, w)
 		})

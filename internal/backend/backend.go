@@ -144,8 +144,12 @@ type Result struct {
 	Targets []reservation.ID
 	// Moves counts the server moves the assignment implies (Figure 16).
 	Moves solver.MoveStats
-	// Objective is the backend's internal objective at Targets.
+	// Objective is solver.Evaluate of Targets under Config.Solver: the
+	// phase-1 objective functional, the same yardstick for every backend,
+	// so objectives of different backends compare directly.
 	Objective float64
+	// Eval breaks Objective down by term.
+	Eval solver.Eval
 	// Bound is the best proven lower bound on the optimum; -Inf when the
 	// backend proves none (local search never does).
 	Bound float64
@@ -170,9 +174,10 @@ type Result struct {
 // Config carries the tuning for every registered backend; each factory
 // reads the part it understands, so one Config can construct any backend.
 type Config struct {
-	// Solver tunes the two-phase MIP backend.
+	// Solver tunes the two-phase MIP backend and the partitioned one, and
+	// holds the objective weights every backend is scored by.
 	Solver solver.Config
-	// LocalSearch tunes the local-search backend.
+	// LocalSearch tunes the local-search backend's search.
 	LocalSearch localsearch.Config
 }
 
@@ -233,7 +238,9 @@ func Names() []string {
 
 func init() {
 	Register("mip", func(cfg Config) Backend { return &mipBackend{cfg: cfg.Solver} })
-	Register("localsearch", func(cfg Config) Backend { return &localSearchBackend{cfg: cfg.LocalSearch} })
+	Register("localsearch", func(cfg Config) Backend {
+		return &localSearchBackend{cfg: cfg.LocalSearch, weights: cfg.Solver}
+	})
 	Register("pop", func(cfg Config) Backend { return &popBackend{cfg: cfg.Solver} })
 }
 
@@ -247,6 +254,15 @@ func nextWarm(prev *WarmState, set func(*WarmState)) *WarmState {
 	}
 	set(w)
 	return w
+}
+
+// scored sets the result's objective to the phase-1 functional every
+// backend is judged by, and the gap to its distance from the proven bound.
+func scored(out *Result, in solver.Input, weights solver.Config) *Result {
+	out.Eval = solver.Evaluate(in, weights, out.Targets)
+	out.Objective = out.Eval.Objective
+	out.Gap = out.Objective - out.Bound
+	return out
 }
 
 // mipBackend adapts the two-phase MIP solver (internal/solver) to the
@@ -276,15 +292,12 @@ func (b *mipBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 		return nil, err
 	}
 	out := &Result{
-		Backend:   b.Name(),
-		Targets:   res.Targets,
-		Moves:     res.Moves,
-		Objective: res.Phase1.Objective,
-		Bound:     res.Phase1.Bound,
-		Gap:       res.Phase1.Objective - res.Phase1.Bound,
-		Elapsed:   clock.Since(start),
-		MIP:       res,
-		Warm:      nextWarm(opts.Warm, func(w *WarmState) { w.MIP = res.Warm }),
+		Backend: b.Name(),
+		Targets: res.Targets,
+		Moves:   res.Moves,
+		Bound:   res.Phase1.Bound,
+		MIP:     res,
+		Warm:    nextWarm(opts.Warm, func(w *WarmState) { w.MIP = res.Warm }),
 	}
 	switch {
 	case res.Cancelled || res.Phase1.Status == mip.Cancelled:
@@ -296,15 +309,17 @@ func (b *mipBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 	default:
 		out.Status = StatusNoSolution
 		out.Bound = math.Inf(-1)
-		out.Gap = math.Inf(1)
 	}
+	scored(out, in, b.cfg)
+	out.Elapsed = clock.Since(start)
 	return out, nil
 }
 
 // localSearchBackend adapts the hill-climbing solver (internal/localsearch)
 // to the Backend interface.
 type localSearchBackend struct {
-	cfg localsearch.Config
+	cfg     localsearch.Config
+	weights solver.Config
 }
 
 func (b *localSearchBackend) Name() string { return "localsearch" }
@@ -319,7 +334,7 @@ func (b *localSearchBackend) Solve(ctx context.Context, in solver.Input, opts Op
 	if opts.Warm != nil {
 		warm = opts.Warm.LocalSearch
 	}
-	res, err := localsearch.SolveWarm(ctx, in, cfg, warm)
+	res, err := localsearch.SolveWarm(ctx, in, b.weights, cfg, warm)
 	if err != nil {
 		return nil, err
 	}
@@ -328,9 +343,7 @@ func (b *localSearchBackend) Solve(ctx context.Context, in solver.Input, opts Op
 		Status:      StatusFeasible, // hill climbing proves no bound
 		Targets:     res.Targets,
 		Moves:       res.Moves,
-		Objective:   res.Objective,
 		Bound:       math.Inf(-1),
-		Gap:         math.Inf(1),
 		Elapsed:     res.Elapsed,
 		LocalSearch: res,
 		Warm: nextWarm(opts.Warm, func(w *WarmState) {
@@ -340,5 +353,5 @@ func (b *localSearchBackend) Solve(ctx context.Context, in solver.Input, opts Op
 	if res.Cancelled {
 		out.Status = StatusCancelled
 	}
-	return out, nil
+	return scored(out, in, b.weights), nil
 }

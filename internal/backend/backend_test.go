@@ -238,3 +238,55 @@ func TestContextDeadlineKeepsFeasible(t *testing.T) {
 	}
 	checkTargetsShape(t, in, res)
 }
+
+// TestObjectiveIsEvaluate pins the one-yardstick contract: every registered
+// backend reports solver.Evaluate of its own targets as its objective, so
+// objectives of different backends compare directly, and a proven bound
+// never sits above that objective.
+func TestObjectiveIsEvaluate(t *testing.T) {
+	cfg := Config{
+		Solver:      solver.Config{Phase1TimeLimit: 10 * time.Second, Phase2TimeLimit: 5 * time.Second},
+		LocalSearch: localsearch.Config{TimeLimit: 3 * time.Second, Seed: 1},
+	}
+	for _, name := range Names() {
+		for seed := int64(1); seed <= 3; seed++ {
+			in := testInput(t, seed, 4, 2)
+			be, err := New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := be.Solve(context.Background(), in, Options{Workers: 1})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			ev := solver.Evaluate(in, cfg.Solver, res.Targets)
+			if math.Abs(res.Objective-ev.Objective) > 1e-6 {
+				t.Errorf("%s seed %d: Objective %v, Evaluate of its targets %v", name, seed, res.Objective, ev.Objective)
+			}
+			if !math.IsInf(res.Bound, -1) && res.Objective < res.Bound-1e-6 {
+				t.Errorf("%s seed %d: Objective %v below proven bound %v", name, seed, res.Objective, res.Bound)
+			}
+		}
+	}
+}
+
+// TestLocalSearchFillsSharedBuffer checks local search climbs over the
+// solver's per-type shared-buffer rows too: at the default buffer fraction
+// its assignment leaves no capacity row short.
+func TestLocalSearchFillsSharedBuffer(t *testing.T) {
+	cfg := Config{LocalSearch: localsearch.Config{TimeLimit: 3 * time.Second, Seed: 1}}
+	for seed := int64(1); seed <= 2; seed++ {
+		in := testInput(t, seed, 4, 2)
+		be, err := New("localsearch", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := be.Solve(context.Background(), in, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev := solver.Evaluate(in, cfg.Solver, res.Targets); ev.CapSlack != 0 {
+			t.Errorf("seed %d: CapSlack %v, want 0 (%+v)", seed, ev.CapSlack, ev)
+		}
+	}
+}

@@ -44,9 +44,6 @@ type POPDetail struct {
 	PlanSig uint64
 	// Repair summarizes the cross-partition recombination pass.
 	Repair solver.RepairStats
-	// Eval is the region-wide phase-1 objective breakdown of the final
-	// merged-and-repaired assignment (Result.Objective = Eval.Objective).
-	Eval solver.Eval
 	// Subs holds each partition's full solver result, indexed by partition.
 	Subs []*solver.Result
 }
@@ -204,27 +201,24 @@ func (b *popBackend) Solve(ctx context.Context, in solver.Input, opts Options) (
 	metrics.Solver.PartitionSolves.Add(int64(k))
 	metrics.Solver.RepairMoves.Add(int64(repair.Moves()))
 
-	ev := solver.Evaluate(in, b.cfg, targets)
 	out := &Result{
-		Backend:   b.Name(),
-		Targets:   targets,
-		Moves:     solver.CountMoves(in, targets),
-		Objective: ev.Objective,
+		Backend: b.Name(),
+		Targets: targets,
+		Moves:   solver.CountMoves(in, targets),
 		// Recombination voids the sub-solves' optimality proofs, so no
 		// region-wide bound is claimed.
-		Bound:   math.Inf(-1),
-		Gap:     math.Inf(1),
-		Elapsed: clock.Since(start),
+		Bound: math.Inf(-1),
 		POP: &POPDetail{
 			Partitions: k,
 			SubWorkers: perSub,
 			Concurrent: concurrent,
 			PlanSig:    plan.Sig,
 			Repair:     repair,
-			Eval:       ev,
 			Subs:       subs,
 		},
 	}
+	scored(out, in, b.cfg)
+	out.Elapsed = clock.Since(start)
 	out.Warm = nextWarm(opts.Warm, func(w *WarmState) {
 		pw := &POPWarm{Sig: plan.Sig, Parts: make([]*solver.WarmState, k)}
 		for p := 0; p < k; p++ {

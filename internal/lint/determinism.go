@@ -1,12 +1,15 @@
 package lint
 
 // determinism: the solve stack's reproducibility rests on never reading
-// ambient nondeterministic state. Two checks:
+// ambient nondeterministic state. Three checks:
 //
 //  1. Wall clock: time.Now and time.Since are forbidden in the solver
 //     packages (Config.DeterminismTimeScope); timing there goes through the
 //     internal/clock seam, which tests can freeze.
-//  2. Global RNG: the package-level math/rand functions draw from a shared,
+//  2. Environment: os.Getenv, os.LookupEnv and os.Environ are forbidden in
+//     the same scope. A solve configured by the process environment is not
+//     a function of its inputs; knobs belong in Config or Options.
+//  3. Global RNG: the package-level math/rand functions draw from a shared,
 //     unseeded global source, so any use makes a run unrepeatable. They are
 //     forbidden module-wide — every random stream must come from an
 //     explicitly seeded rand.New(rand.NewSource(seed)).
@@ -22,6 +25,13 @@ var forbiddenTimeFuncs = map[string]bool{
 	"Now":   true,
 	"Since": true,
 	"Until": true,
+}
+
+// envFuncs are the package os functions that read the process environment.
+var envFuncs = map[string]bool{
+	"Getenv":    true,
+	"LookupEnv": true,
+	"Environ":   true,
 }
 
 // globalRandFuncs are the math/rand (and math/rand/v2) package-level
@@ -57,6 +67,10 @@ func runDeterminism(cfg *Config, pkg *Package, report reportFunc) {
 			case "time":
 				if timeInScope && forbiddenTimeFuncs[obj.Name()] {
 					report(sel.Pos(), "time.%s reads the wall clock in a solve path; use internal/clock (injectable in tests) instead", obj.Name())
+				}
+			case "os":
+				if timeInScope && envFuncs[obj.Name()] {
+					report(sel.Pos(), "os.%s reads the process environment in a solve path; pass the knob through Config or Options instead", obj.Name())
 				}
 			case "math/rand", "math/rand/v2":
 				if globalRandFuncs[obj.Name()] {

@@ -1,10 +1,11 @@
 // Fixture for the determinism analyzer, loaded under "ras/internal/mip" so
-// the wall-clock scope applies. The global-rand half of the rule is
+// the wall-clock and environment scope applies. The global-rand half of the rule is
 // module-wide and would fire under any import path.
 package determinism
 
 import (
 	"math/rand"
+	"os"
 	"time"
 )
 
@@ -12,6 +13,10 @@ func clockReads() time.Duration {
 	t0 := time.Now()    // want `time\.Now reads the wall clock`
 	d := time.Since(t0) // want `time\.Since reads the wall clock`
 	return d
+}
+
+func envRead() bool {
+	return os.Getenv("DEBUG") != "" // want `os\.Getenv reads the process environment`
 }
 
 func globalRand() int {

@@ -1,15 +1,20 @@
 // Negative fixture: loaded under "ras/internal/experiments", which is outside
-// the wall-clock scope, so time.Now is fine here — but the global rand source
-// stays forbidden module-wide.
+// the solve scope, so time.Now and os.Getenv are fine here — but the global
+// rand source stays forbidden module-wide.
 package determinismout
 
 import (
 	"math/rand"
+	"os"
 	"time"
 )
 
 func timing() time.Time {
 	return time.Now() // outside the wall-clock scope: no finding
+}
+
+func verbose() bool {
+	return os.Getenv("VERBOSE") != "" // outside the solve scope: no finding
 }
 
 func figure() float64 {

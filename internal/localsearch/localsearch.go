@@ -3,34 +3,35 @@
 // common optimization library, which "can choose different backend solvers
 // to solve an optimization problem": a MIP solver for RAS (quality,
 // minutes-scale) and a local-search solver for Shard Manager (near-realtime,
-// seconds-scale). This package is that second backend, implemented over the
-// same model as internal/solver — capacity with embedded MSB buffers,
-// fault-domain spread, movement costs — so the two can be compared directly
-// (see the MIPvsLocalSearch ablation benchmarks).
+// seconds-scale). This package is that second backend. It climbs over the
+// solver's own spec list (guaranteed reservations plus the per-type
+// shared-buffer rows) and scores every move with solver.Scorer, the
+// phase-1 objective functional the MIP optimizes, so the two backends are
+// judged on one yardstick (see the MIPvsLocalSearch ablation benchmarks).
 //
 // The algorithm is steepest-of-sample hill climbing over single-server
 // moves: acquire from the free pool, release surplus, or reassign between
-// reservations. All objective terms are maintained incrementally, so a step
+// specs. All objective terms are maintained incrementally, so a step
 // costs O(candidates) regardless of region size.
 package localsearch
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
 
-	"ras/internal/broker"
 	"ras/internal/clock"
-	"ras/internal/hardware"
 	"ras/internal/reservation"
 	"ras/internal/solver"
 	"ras/internal/topology"
 )
 
-// Config tunes the search. Zero values select defaults matching
-// solver.Config's cost structure.
+// Config tunes the search. Zero values select defaults. The objective
+// weights are not here: they come from the solver.Config passed to Solve,
+// the same one the MIP backend solves with.
 type Config struct {
 	// TimeLimit bounds the search. Zero means 2s.
 	TimeLimit time.Duration
@@ -48,22 +49,9 @@ type Config struct {
 	// reproducible regardless of scheduling or GOMAXPROCS, and start 0
 	// always equals the single-start search with the same Seed.
 	Starts int
-
-	// Cost structure (defaults mirror solver.Config).
-	AlphaMSB      float64
-	Beta          float64
-	Tau           float64
-	MoveCostInUse float64
-	MoveCostIdle  float64
-	SoftPenalty   float64
 }
 
-// exactZero reports whether v is exactly zero — the zero-value "knob unset"
-// sentinel in Config and Policy fields. A raslint floatcmp designated
-// helper.
-func exactZero(v float64) bool { return v == 0 }
-
-func (c Config) withDefaults(region *topology.Region) Config {
+func (c Config) withDefaults() Config {
 	if c.TimeLimit == 0 {
 		c.TimeLimit = 2 * time.Second
 	}
@@ -72,24 +60,6 @@ func (c Config) withDefaults(region *topology.Region) Config {
 	}
 	if c.Candidates == 0 {
 		c.Candidates = 48
-	}
-	if exactZero(c.AlphaMSB) {
-		c.AlphaMSB = clamp(1.5/float64(max(region.NumMSBs, 1)), 0.05, 1)
-	}
-	if exactZero(c.Beta) {
-		c.Beta = 3
-	}
-	if exactZero(c.Tau) {
-		c.Tau = 3
-	}
-	if exactZero(c.MoveCostInUse) {
-		c.MoveCostInUse = 10
-	}
-	if exactZero(c.MoveCostIdle) {
-		c.MoveCostIdle = 1
-	}
-	if exactZero(c.SoftPenalty) {
-		c.SoftPenalty = 1000
 	}
 	return c
 }
@@ -109,7 +79,8 @@ type WarmState struct {
 type Result struct {
 	// Targets maps every server to its assigned reservation.
 	Targets []reservation.ID
-	// Objective is the final internal objective value.
+	// Objective is solver.Evaluate of Targets: the phase-1 objective every
+	// backend reports. The climb's shaping term never enters it.
 	Objective float64
 	// Steps is the number of accepted moves.
 	Steps int
@@ -130,23 +101,11 @@ type Result struct {
 	BestStart int
 }
 
-// state is the incremental evaluation state.
+// state is one climb's assignment, scored incrementally by the solver's
+// objective functional.
 type state struct {
-	cfg    Config
+	sc     *solver.Scorer
 	region *topology.Region
-	in     solver.Input
-
-	rsvs   []reservation.Reservation // non-elastic reservations
-	resIdx map[reservation.ID]int
-
-	assign  []reservation.ID // current assignment per server (-1 free)
-	usable  []bool
-	inUse   []bool
-	value   [][]float64 // value[ri][server]
-	loadMSB [][]float64 // loadMSB[ri][msb]
-	total   []float64   // total[ri]
-
-	moved []bool // server deviated from its original assignment
 }
 
 // Solve runs the local search and returns the assignment.
@@ -155,15 +114,18 @@ type state struct {
 // polled between steps (and during seeding), so cancellation aborts within
 // one candidate-sampling round and returns the best assignment found, with
 // Result.Cancelled set. A cancelled search is not an error.
-func Solve(ctx context.Context, in solver.Input, cfg Config) (*Result, error) {
-	return SolveWarm(ctx, in, cfg, nil)
+//
+// weights prices the objective exactly as the MIP backend does, shared
+// buffer included (see solver.Config).
+func Solve(ctx context.Context, in solver.Input, weights solver.Config, cfg Config) (*Result, error) {
+	return SolveWarm(ctx, in, weights, cfg, nil)
 }
 
 // SolveWarm is Solve with a cross-round warm start: every climb begins from
 // the previous round's assignment (see WarmState) instead of the broker's
 // current bindings. nil warm — or warm state for a different server count —
 // reproduces Solve exactly.
-func SolveWarm(ctx context.Context, in solver.Input, cfg Config, warm *WarmState) (*Result, error) {
+func SolveWarm(ctx context.Context, in solver.Input, weights solver.Config, cfg Config, warm *WarmState) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //raslint:allow ctxflow nil ctx defaults to Background at the public API boundary
 	}
@@ -176,11 +138,11 @@ func SolveWarm(ctx context.Context, in solver.Input, cfg Config, warm *WarmState
 	if warm != nil && len(warm.Targets) != len(in.Region.Servers) {
 		warm = nil // shape drift: fall back to a cold start
 	}
-	cfg = cfg.withDefaults(in.Region)
+	cfg = cfg.withDefaults()
 	start := clock.Now()
 
 	if cfg.Starts <= 1 {
-		res := climb(ctx, in, cfg, cfg.Seed, warm)
+		res := climb(ctx, in, weights, cfg, cfg.Seed, warm)
 		res.Starts = 1
 		res.Elapsed = clock.Since(start)
 		return res, nil
@@ -199,7 +161,7 @@ func SolveWarm(ctx context.Context, in solver.Input, cfg Config, warm *WarmState
 			// Start i owns results[i] exclusively; wg.Wait() orders the
 			// writes before the winner scan reads them.
 			//raslint:allow sharedwrite disjoint per-start slots; wg.Wait orders writes before reads
-			results[i] = climb(ctx, in, cfg, startSeed(cfg.Seed, i), warm)
+			results[i] = climb(ctx, in, weights, cfg, startSeed(cfg.Seed, i), warm)
 		}(i)
 	}
 	wg.Wait()
@@ -228,9 +190,9 @@ func startSeed(base int64, i int) int64 {
 // climb runs one full hill-climbing search (seeding, steepest-of-sample
 // loop, result assembly) with the given RNG seed. Each climb owns all of
 // its state, so any number may run concurrently on one input.
-func climb(ctx context.Context, in solver.Input, cfg Config, seed int64, warm *WarmState) *Result {
+func climb(ctx context.Context, in solver.Input, weights solver.Config, cfg Config, seed int64, warm *WarmState) *Result {
 	start := clock.Now()
-	s := newState(in, cfg)
+	s := newState(in, weights)
 	s.seedWarm(warm)
 	rng := rand.New(rand.NewSource(seed))
 	res := &Result{}
@@ -242,7 +204,7 @@ func climb(ctx context.Context, in solver.Input, cfg Config, seed int64, warm *W
 	res.Steps += s.waterfillSeed(ctx)
 
 	deadline := start.Add(cfg.TimeLimit)
-	nServers := len(in.Region.Servers)
+	nServers, nSpecs := len(in.Region.Servers), s.sc.Specs()
 	for res.Steps < cfg.MaxSteps {
 		if ctx.Err() != nil {
 			break
@@ -252,19 +214,11 @@ func climb(ctx context.Context, in solver.Input, cfg Config, seed int64, warm *W
 		}
 		// Sample candidate moves, keep the steepest improvement.
 		bestDelta := -1e-9
-		bestServer, bestTo := -1, reservation.Unassigned
+		bestServer, bestTo := -1, -1
 		for c := 0; c < cfg.Candidates; c++ {
 			sid := topology.ServerID(rng.Intn(nServers))
-			if !s.usable[sid] {
-				continue
-			}
-			var to reservation.ID
-			if rng.Intn(len(s.rsvs)+1) == len(s.rsvs) {
-				to = reservation.Unassigned
-			} else {
-				to = s.rsvs[rng.Intn(len(s.rsvs))].ID
-			}
-			if to == s.assign[sid] {
+			to := rng.Intn(nSpecs+1) - 1 // -1 releases to the free pool
+			if !s.movable(sid, to) {
 				continue
 			}
 			res.Evaluated++
@@ -281,12 +235,8 @@ func climb(ctx context.Context, in solver.Input, cfg Config, seed int64, warm *W
 			dry := true
 			for c := 0; c < 4*cfg.Candidates && dry; c++ {
 				sid := topology.ServerID(rng.Intn(nServers))
-				if !s.usable[sid] {
-					continue
-				}
-				for ri := range s.rsvs {
-					to := s.rsvs[ri].ID
-					if to != s.assign[sid] && s.delta(sid, to) < -1e-9 {
+				for to := 0; to < nSpecs; to++ {
+					if s.movable(sid, to) && s.delta(sid, to) < -1e-9 {
 						dry = false
 						break
 					}
@@ -297,78 +247,41 @@ func climb(ctx context.Context, in solver.Input, cfg Config, seed int64, warm *W
 			}
 			continue
 		}
-		s.apply(topology.ServerID(bestServer), bestTo)
+		s.sc.Move(topology.ServerID(bestServer), bestTo)
 		res.Steps++
 	}
 
-	res.Targets = append([]reservation.ID(nil), s.assign...)
-	res.Objective = s.objective()
+	res.Targets = s.sc.Targets()
+	// Single-server moves cannot route capacity across eligibility classes:
+	// a short row whose eligible servers all sit with other reservations
+	// needs a steal plus a backfill, and the first move of that chain alone
+	// is uphill. The pop backend's repair pass makes exactly those compound
+	// moves against the same objective, so a climb that ends short hands
+	// its assignment over to it.
+	if ctx.Err() == nil && s.short() {
+		solver.RepairTargets(in, weights, res.Targets)
+	}
+	res.Moves = solver.CountMoves(in, res.Targets)
+	res.Objective = solver.Evaluate(in, weights, res.Targets).Objective
 	res.Elapsed = clock.Since(start)
 	// Explicit cancellation only: a ctx deadline expiring is a time budget
 	// running out, indistinguishable from Config.TimeLimit (Feasible).
 	res.Cancelled = ctx.Err() == context.Canceled
-	for i := range in.States {
-		st := &in.States[i]
-		if st.Current == res.Targets[i] || st.Current == reservation.Unassigned || !s.usable[i] {
-			continue
-		}
-		if s.inUse[i] {
-			res.Moves.InUse++
-		} else {
-			res.Moves.Unused++
-		}
-	}
 	return res
 }
 
-func newState(in solver.Input, cfg Config) *state {
-	s := &state{cfg: cfg, region: in.Region, in: in, resIdx: map[reservation.ID]int{}}
-	for _, r := range in.Reservations {
-		if r.Elastic {
-			continue
-		}
-		s.resIdx[r.ID] = len(s.rsvs)
-		s.rsvs = append(s.rsvs, r)
-	}
-	n := len(in.Region.Servers)
-	s.assign = make([]reservation.ID, n)
-	s.usable = make([]bool, n)
-	s.inUse = make([]bool, n)
-	s.moved = make([]bool, n)
-	s.value = make([][]float64, len(s.rsvs))
-	s.loadMSB = make([][]float64, len(s.rsvs))
-	s.total = make([]float64, len(s.rsvs))
-	for ri := range s.rsvs {
-		s.value[ri] = make([]float64, n)
-		s.loadMSB[ri] = make([]float64, in.Region.NumMSBs)
-		for i := range in.Region.Servers {
-			ty := in.Region.Servers[i].Type
-			v := hardware.RRU(in.Region.Catalog.Type(ty), s.rsvs[ri].Class)
-			if !s.rsvs[ri].Eligible(ty, v) {
-				v = 0
-			} else if s.rsvs[ri].CountBased {
-				v = 1
-			}
-			if p := s.rsvs[ri].Policy; p.SingleDC >= 0 && in.Region.Servers[i].DC != p.SingleDC {
-				v = 0
-			}
-			s.value[ri][i] = v
-		}
-	}
+// newState starts a climb from the broker's current bindings. Bindings the
+// objective cannot count (failed servers, ineligible or vanished
+// reservations) start in the free pool.
+func newState(in solver.Input, weights solver.Config) *state {
+	current := make([]reservation.ID, len(in.States))
 	for i := range in.States {
-		st := &in.States[i]
-		s.usable[i] = st.Unavail == broker.Available || st.Unavail == broker.PlannedMaintenance
-		s.inUse[i] = st.Containers > 0 && st.LoanedTo == reservation.Unassigned
-		s.assign[i] = reservation.Unassigned
-		if !s.usable[i] {
-			continue
-		}
-		if ri, ok := s.resIdx[st.Current]; ok {
-			if v := s.value[ri][i]; v > 0 {
-				s.assign[i] = st.Current
-				s.loadMSB[ri][in.Region.Servers[i].MSB] += v
-				s.total[ri] += v
-			}
+		current[i] = in.States[i].Current
+	}
+	s := &state{sc: solver.NewScorer(in, weights, current), region: in.Region}
+	for i := range current {
+		if id := topology.ServerID(i); s.sc.Spec(id) < 0 {
+			s.sc.Move(id, -1)
 		}
 	}
 	return s
@@ -384,46 +297,32 @@ func (s *state) seedWarm(warm *WarmState) {
 		return
 	}
 	for i, want := range warm.Targets {
-		sid := topology.ServerID(i)
-		if !s.usable[i] || want == s.assign[sid] {
-			continue
-		}
-		if want == reservation.Unassigned {
-			s.apply(sid, want)
-			continue
-		}
-		if ri, ok := s.resIdx[want]; ok && s.value[ri][sid] > 0 {
-			s.apply(sid, want)
+		id := topology.ServerID(i)
+		to := s.sc.SpecFor(want, id)
+		if to != s.sc.Spec(id) && (to >= 0 || want == reservation.Unassigned) {
+			s.sc.Move(id, to)
 		}
 	}
 }
 
-// waterfillSeed acquires free servers for every reservation whose
-// buffer-adjusted capacity is short, always into the least-loaded MSB with
-// eligible free servers, until the shortfall closes or the pool runs dry.
-// Cancelling ctx stops seeding between acquisitions.
+// waterfillSeed acquires free servers for every spec whose capacity row is
+// short, always into the least-loaded MSB with eligible free servers, until
+// the shortfall closes or the pool runs dry. Cancelling ctx stops seeding
+// between acquisitions.
 func (s *state) waterfillSeed(ctx context.Context) (acquired int) {
-	// Free eligible servers per (reservation, MSB).
 	freeByMSB := make([][]topology.ServerID, s.region.NumMSBs)
-	for i := range s.assign {
-		if s.usable[i] && s.assign[i] == reservation.Unassigned {
+	for i := range s.region.Servers {
+		if id := topology.ServerID(i); s.sc.Spec(id) < 0 {
 			msb := s.region.Servers[i].MSB
-			freeByMSB[msb] = append(freeByMSB[msb], topology.ServerID(i))
+			freeByMSB[msb] = append(freeByMSB[msb], id)
 		}
 	}
-	for ri := range s.rsvs {
-		r := &s.rsvs[ri]
-		for guard := 0; guard < len(s.assign); guard++ {
+	for si := 0; si < s.sc.Specs(); si++ {
+		for guard := 0; guard < len(s.region.Servers); guard++ {
 			if acquired&63 == 0 && ctx.Err() != nil {
 				return acquired
 			}
-			maxMSB := 0.0
-			for _, v := range s.loadMSB[ri] {
-				if v > maxMSB {
-					maxMSB = v
-				}
-			}
-			if s.total[ri]-maxMSB >= r.RRUs {
+			if s.sc.Short(si) <= 0 {
 				break
 			}
 			// Least-loaded MSB with an eligible free server.
@@ -431,19 +330,19 @@ func (s *state) waterfillSeed(ctx context.Context) (acquired int) {
 			var bestSrv topology.ServerID
 			for msb := range freeByMSB {
 				for _, sid := range freeByMSB[msb] {
-					if s.value[ri][sid] <= 0 {
-						continue // ineligible; keep scanning this MSB
+					if s.sc.Value(si, sid) <= 0 {
+						continue // ineligible or unusable; keep scanning this MSB
 					}
-					if bestMSB == -1 || s.loadMSB[ri][msb] < bestLoad {
-						bestMSB, bestLoad, bestSrv = msb, s.loadMSB[ri][msb], sid
+					if load := s.sc.Load(si, msb); bestMSB == -1 || load < bestLoad {
+						bestMSB, bestLoad, bestSrv = msb, load, sid
 					}
 					break // first eligible server of the MSB is enough
 				}
 			}
 			if bestMSB == -1 {
-				break // pool dry for this reservation
+				break // pool dry for this spec
 			}
-			s.apply(bestSrv, r.ID)
+			s.sc.Move(bestSrv, si)
 			acquired++
 			// Drop the used server from the free index.
 			lst := freeByMSB[bestMSB]
@@ -458,128 +357,42 @@ func (s *state) waterfillSeed(ctx context.Context) (acquired int) {
 	return acquired
 }
 
-// resObjective scores one reservation's terms from its load vector.
-func (s *state) resObjective(ri int) float64 {
-	r := &s.rsvs[ri]
-	maxMSB := 0.0
-	spread := 0.0
-	alpha := r.Policy.SpreadMSB
-	if exactZero(alpha) {
-		alpha = s.cfg.AlphaMSB
-	}
-	for _, v := range s.loadMSB[ri] {
-		if v > maxMSB {
-			maxMSB = v
-		}
-		if over := v - alpha*r.RRUs; over > 0 {
-			spread += over
+// short reports whether some capacity row is still short.
+func (s *state) short() bool {
+	for si := 0; si < s.sc.Specs(); si++ {
+		if s.sc.Short(si) > 1e-9 {
+			return true
 		}
 	}
-	obj := s.cfg.Tau*maxMSB + s.cfg.Beta*spread
-	if short := r.RRUs - (s.total[ri] - maxMSB); short > 0 {
-		obj += s.cfg.SoftPenalty * short
-	}
-	// Shaping term: the buffer-adjusted shortfall above is blind to the
-	// very first servers of a reservation (total and maxMSB rise together),
-	// which strands hill climbing on a plateau. Penalizing the raw total
-	// shortfall too — never larger than the real term — keeps downhill
-	// gradient without changing the zero set.
-	if shortT := r.RRUs - s.total[ri]; shortT > 0 {
-		obj += s.cfg.SoftPenalty * shortT
-	}
-	return obj
+	return false
 }
 
-// moveCost prices a server's deviation from its original assignment.
-func (s *state) moveCost(sid topology.ServerID, to reservation.ID) float64 {
-	orig := s.in.States[sid].Current
-	if orig == reservation.Unassigned || orig == to {
-		return 0
-	}
-	if s.inUse[sid] {
-		return s.cfg.MoveCostInUse
-	}
-	return s.cfg.MoveCostIdle
+// movable reports whether rebinding sid to spec to (-1: the free pool) is a
+// real move the spec allows.
+func (s *state) movable(sid topology.ServerID, to int) bool {
+	return to != s.sc.Spec(sid) && (to < 0 || s.sc.Value(to, sid) > 0)
 }
 
-// objective computes the full objective (used once at the end; the search
-// itself uses deltas).
-func (s *state) objective() float64 {
-	obj := 0.0
-	for ri := range s.rsvs {
-		obj += s.resObjective(ri)
+// delta scores rebinding sid to spec to: the exact objective change plus
+// the change in the shaping term.
+func (s *state) delta(sid topology.ServerID, to int) float64 {
+	d := s.sc.Delta(sid, to)
+	if from := s.sc.Spec(sid); from >= 0 {
+		d += s.shaping(from, -s.sc.Value(from, sid))
 	}
-	for i := range s.assign {
-		obj += s.moveCost(topology.ServerID(i), s.assign[i])
-	}
-	return obj
-}
-
-// delta scores moving server sid to reservation `to` (or the free pool).
-func (s *state) delta(sid topology.ServerID, to reservation.ID) float64 {
-	from := s.assign[sid]
-	if from == to {
-		return 0
-	}
-	if to != reservation.Unassigned {
-		ri, ok := s.resIdx[to]
-		if !ok || s.value[ri][sid] <= 0 {
-			return 1e18 // ineligible
-		}
-	}
-	d := 0.0
-	d -= s.moveCost(sid, from)
-	d += s.moveCost(sid, to)
-	msb := s.region.Servers[sid].MSB
-	if from != reservation.Unassigned {
-		ri := s.resIdx[from]
-		before := s.resObjective(ri)
-		v := s.value[ri][sid]
-		s.loadMSB[ri][msb] -= v
-		s.total[ri] -= v
-		d += s.resObjective(ri) - before
-		s.loadMSB[ri][msb] += v
-		s.total[ri] += v
-	}
-	if to != reservation.Unassigned {
-		ri := s.resIdx[to]
-		before := s.resObjective(ri)
-		v := s.value[ri][sid]
-		s.loadMSB[ri][msb] += v
-		s.total[ri] += v
-		d += s.resObjective(ri) - before
-		s.loadMSB[ri][msb] -= v
-		s.total[ri] -= v
+	if to >= 0 {
+		d += s.shaping(to, s.sc.Value(to, sid))
 	}
 	return d
 }
 
-// apply commits a move.
-func (s *state) apply(sid topology.ServerID, to reservation.ID) {
-	from := s.assign[sid]
-	msb := s.region.Servers[sid].MSB
-	if from != reservation.Unassigned {
-		ri := s.resIdx[from]
-		v := s.value[ri][sid]
-		s.loadMSB[ri][msb] -= v
-		s.total[ri] -= v
-	}
-	if to != reservation.Unassigned {
-		ri := s.resIdx[to]
-		v := s.value[ri][sid]
-		s.loadMSB[ri][msb] += v
-		s.total[ri] += v
-	}
-	s.assign[sid] = to
-	s.moved[sid] = s.in.States[sid].Current != to
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
+// shaping is the change in a search-guidance term, never reported, when
+// spec si's total moves by dv. The capacity row is blind to a
+// reservation's very first servers (total and its largest MSB rise
+// together), which strands hill climbing on a plateau. Pricing the raw
+// total shortfall as well keeps a downhill gradient there without changing
+// the zero set.
+func (s *state) shaping(si int, dv float64) float64 {
+	need, total := s.sc.Need(si), s.sc.Total(si)
+	return s.sc.SlackCost(math.Max(0, need-(total+dv)) - math.Max(0, need-total))
 }

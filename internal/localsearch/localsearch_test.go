@@ -53,7 +53,7 @@ func capacityMet(in solver.Input, targets []reservation.ID, r *reservation.Reser
 
 func TestSolveFulfillsCapacity(t *testing.T) {
 	in, rsvs := setup(t, 1, 4, 0.6)
-	res, err := Solve(context.Background(), in, Config{TimeLimit: 3 * time.Second, Seed: 1})
+	res, err := Solve(context.Background(), in, solver.Config{}, Config{TimeLimit: 3 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestSolveFulfillsCapacity(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	in, _ := setup(t, 2, 3, 0.5)
 	cfg := Config{MaxSteps: 500, Seed: 7, TimeLimit: time.Minute}
-	a, err := Solve(context.Background(), in, cfg)
+	a, err := Solve(context.Background(), in, solver.Config{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), in, cfg)
+	b, err := Solve(context.Background(), in, solver.Config{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRespectsEligibilityAndAvailability(t *testing.T) {
 	for i := 0; i < len(in.States); i += 4 {
 		in.States[i].Unavail = broker.RandomFailure
 	}
-	res, err := Solve(context.Background(), in, Config{TimeLimit: 2 * time.Second, Seed: 3})
+	res, err := Solve(context.Background(), in, solver.Config{}, Config{TimeLimit: 2 * time.Second, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestStabilityFromCurrentAssignment(t *testing.T) {
 	// Solve once, feed the result back as current: a second search must not
 	// preempt in-use servers.
 	in, _ := setup(t, 4, 3, 0.5)
-	first, err := Solve(context.Background(), in, Config{TimeLimit: 2 * time.Second, Seed: 4})
+	first, err := Solve(context.Background(), in, solver.Config{}, Config{TimeLimit: 2 * time.Second, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStabilityFromCurrentAssignment(t *testing.T) {
 			in.States[i].Containers = 2
 		}
 	}
-	second, err := Solve(context.Background(), in, Config{TimeLimit: time.Second, Seed: 5})
+	second, err := Solve(context.Background(), in, solver.Config{}, Config{TimeLimit: time.Second, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestStabilityFromCurrentAssignment(t *testing.T) {
 }
 
 func TestInputValidation(t *testing.T) {
-	if _, err := Solve(context.Background(), solver.Input{}, Config{}); err == nil {
+	if _, err := Solve(context.Background(), solver.Input{}, solver.Config{}, Config{}); err == nil {
 		t.Fatal("nil region must error")
 	}
 }
@@ -146,14 +146,15 @@ func TestQualityVsMIP(t *testing.T) {
 		t.Skip("backend comparison in -short mode")
 	}
 	in, rsvs := setup(t, 6, 4, 0.6)
-	ls, err := Solve(context.Background(), in, Config{TimeLimit: 2 * time.Second, Seed: 6})
+	weights := solver.Config{
+		Phase1TimeLimit: 8 * time.Second, Phase2TimeLimit: time.Second,
+		MaxNodes: 100, SharedBufferFraction: -1,
+	}
+	ls, err := Solve(context.Background(), in, weights, Config{TimeLimit: 2 * time.Second, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mip, err := solver.Solve(context.Background(), in, solver.Config{
-		Phase1TimeLimit: 8 * time.Second, Phase2TimeLimit: time.Second,
-		MaxNodes: 100, SharedBufferFraction: -1,
-	})
+	mip, err := solver.Solve(context.Background(), in, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"ras/internal/solver"
 )
 
 func TestMultiStartDeterministic(t *testing.T) {
@@ -12,11 +14,11 @@ func TestMultiStartDeterministic(t *testing.T) {
 	// goroutine finishes first.
 	in, _ := setup(t, 2, 3, 0.5)
 	cfg := Config{MaxSteps: 300, Seed: 7, Starts: 4, TimeLimit: time.Minute}
-	a, err := Solve(context.Background(), in, cfg)
+	a, err := Solve(context.Background(), in, solver.Config{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), in, cfg)
+	b, err := Solve(context.Background(), in, solver.Config{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +40,11 @@ func TestMultiStartAtLeastAsGoodAsSingle(t *testing.T) {
 	// Start 0 uses exactly the single-start seed, so the best-of-N winner
 	// can never be worse than the single-start result.
 	in, _ := setup(t, 5, 4, 0.6)
-	single, err := Solve(context.Background(), in, Config{MaxSteps: 300, Seed: 11, TimeLimit: time.Minute})
+	single, err := Solve(context.Background(), in, solver.Config{}, Config{MaxSteps: 300, Seed: 11, TimeLimit: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Solve(context.Background(), in, Config{MaxSteps: 300, Seed: 11, Starts: 4, TimeLimit: time.Minute})
+	multi, err := Solve(context.Background(), in, solver.Config{}, Config{MaxSteps: 300, Seed: 11, Starts: 4, TimeLimit: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +59,11 @@ func TestMultiStartAtLeastAsGoodAsSingle(t *testing.T) {
 func TestMultiStartStartZeroMatchesSingleStart(t *testing.T) {
 	// When start 0 wins, its climb must be bit-identical to Starts=1.
 	in, _ := setup(t, 2, 3, 0.5)
-	single, err := Solve(context.Background(), in, Config{MaxSteps: 300, Seed: 7, TimeLimit: time.Minute})
+	single, err := Solve(context.Background(), in, solver.Config{}, Config{MaxSteps: 300, Seed: 7, TimeLimit: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Solve(context.Background(), in, Config{MaxSteps: 300, Seed: 7, Starts: 3, TimeLimit: time.Minute})
+	multi, err := Solve(context.Background(), in, solver.Config{}, Config{MaxSteps: 300, Seed: 7, Starts: 3, TimeLimit: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestMultiStartCancellation(t *testing.T) {
 	in, _ := setup(t, 3, 4, 0.6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: every start must stop promptly
-	res, err := Solve(ctx, in, Config{MaxSteps: 1 << 30, Seed: 1, Starts: 4, TimeLimit: time.Minute})
+	res, err := Solve(ctx, in, solver.Config{}, Config{MaxSteps: 1 << 30, Seed: 1, Starts: 4, TimeLimit: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

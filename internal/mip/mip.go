@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -31,12 +30,6 @@ import (
 	"ras/internal/lp"
 	"ras/internal/metrics"
 )
-
-// noWarm disables LP warm starts (debug toggle).
-var noWarm = os.Getenv("MIP_NOWARM") != ""
-
-// debugDive logs dive-heuristic exits (debug toggle).
-var debugDive = os.Getenv("MIP_DEBUG_DIVE") != ""
 
 // exactZero reports whether v is exactly zero — the zero-value "knob unset"
 // sentinel in Options and the stored-exact sparsity convention shared with

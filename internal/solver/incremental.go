@@ -470,10 +470,7 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 		// Shared-buffer specs skip the embedded buffer (they *are* buffer).
 		var env mip.Var = -1
 		initEnv := 0.0
-		alphaF := s.res.Policy.SpreadMSB
-		if exactZero(alphaF) {
-			alphaF = cfg.AlphaMSB
-		}
+		alphaF := cfg.alphaF(s)
 		if !s.isBuffer {
 			var groupsPerMSB [][]mip.Term
 			for _, msb := range bp.msbs {
@@ -511,10 +508,7 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 
 			// (2) rack spread, phase 2 only.
 			if rackLevel {
-				alphaK := s.res.Policy.SpreadRack
-				if exactZero(alphaK) {
-					alphaK = cfg.AlphaRack
-				}
+				alphaK := cfg.alphaK(s)
 				sp[si].rackRow = make([]int, len(bp.racks))
 				sp[si].rackVar = make([]mip.Var, len(bp.racks))
 				for k, rk := range bp.racks {
@@ -554,30 +548,17 @@ func buildPhase(in Input, cfg Config, specs []resSpec, pool []topology.ServerID,
 
 		// (7) network affinity per DC, softened symmetrically.
 		if len(s.res.Policy.DCAffinity) > 0 {
-			theta := s.res.Policy.AffinityTheta
-			if exactZero(theta) {
-				theta = cfg.AffinityTheta
-			}
 			sp[si].affRow = make([][2]int, in.Region.NumDCs)
 			sp[si].affSlack = make([]mip.Var, in.Region.NumDCs)
 			for dc := 0; dc < in.Region.NumDCs; dc++ {
 				sp[si].affRow[dc] = [2]int{-1, -1}
 				sp[si].affSlack[dc] = -1
-				a, ok := s.res.Policy.DCAffinity[dc]
-				if !ok {
-					a = 0
-				}
 				terms, isum := sumTerms(dcGroups[dc])
 				if terms == nil {
-					if a > theta {
-						// Impossible affinity; leave to slack-free soft fail.
-						continue
-					}
-					continue
+					continue // no eligible capacity in this DC: nothing to steer
 				}
-				hi := a*cr + theta*cr
-				lo := a*cr - theta*cr
-				viol := math.Max(math.Max(0, isum-hi), math.Max(0, lo-isum))
+				lo, hi := cfg.affRange(s, dc)
+				viol := affViolation(lo, hi, isum)
 				// Soften with "no regress beyond the initial violation"
 				// semantics (§3.5.1), plus a two-server allowance for the
 				// discrete granularity of count variables: a hard row made
@@ -854,10 +835,7 @@ func (bp *builtPhase) refreshSpec(si int) {
 		bp.initX[sp.env] = initEnv
 	}
 	if !s.isBuffer {
-		alphaF := s.res.Policy.SpreadMSB
-		if exactZero(alphaF) {
-			alphaF = cfg.AlphaMSB
-		}
+		alphaF := cfg.alphaF(s)
 		for k := range bp.msbs {
 			row := sp.spreadRow[k]
 			if row < 0 {
@@ -867,10 +845,7 @@ func (bp *builtPhase) refreshSpec(si int) {
 			bp.initX[sp.spreadVar[k]] = math.Max(0, msum[k]-alphaF*cr)
 		}
 		if bp.rackLevel {
-			alphaK := s.res.Policy.SpreadRack
-			if exactZero(alphaK) {
-				alphaK = cfg.AlphaRack
-			}
+			alphaK := cfg.alphaK(s)
 			for k := range bp.racks {
 				row := sp.rackRow[k]
 				if row < 0 {
@@ -892,18 +867,12 @@ func (bp *builtPhase) refreshSpec(si int) {
 	bp.initX[sp.capSlack] = violation
 
 	if len(s.res.Policy.DCAffinity) > 0 {
-		theta := s.res.Policy.AffinityTheta
-		if exactZero(theta) {
-			theta = cfg.AffinityTheta
-		}
 		for dc := 0; dc < bp.nDCs; dc++ {
 			if sp.affRow[dc][0] < 0 {
 				continue
 			}
-			a := s.res.Policy.DCAffinity[dc]
-			hi := a*cr + theta*cr
-			lo := a*cr - theta*cr
-			viol := math.Max(math.Max(0, dsum[dc]-hi), math.Max(0, lo-dsum[dc]))
+			lo, hi := cfg.affRange(s, dc)
+			viol := affViolation(lo, hi, dsum[dc])
 			bp.m.SetVarBounds(sp.affSlack[dc], 0, viol+2)
 			bp.initX[sp.affSlack[dc]] = viol
 			bp.m.SetRHS(sp.affRow[dc][0], hi)

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"math"
 	"sort"
 
 	"ras/internal/reservation"
@@ -106,55 +105,40 @@ func RepairTargets(in Input, cfg Config, targets []reservation.ID) RepairStats {
 // resView is the mutable per-reservation state the greedy loop updates.
 type resView struct {
 	spec    resSpec
-	cr      float64
-	alphaF  float64
 	sumMSB  []float64
 	total   float64
 	members [][]topology.ServerID // per MSB, ascending
 }
 
-// localCost is the reservation's share of the phase-1 objective (stability
-// and wear are handled incrementally as move deltas). The second return is
-// a strictly convex tiebreaker — the sum of squared MSB loads — compared
-// lexicographically after the cost: when several MSBs tie at the envelope,
-// a single move cannot lower τ·max (zero cost delta), but moves that
-// equalize loads strictly shrink the squared sum and walk the plateau until
-// the envelope can actually drop.
+// localCost is the spec's share of the phase-1 objective, priced by
+// specTerms (stability and wear are handled incrementally as move deltas;
+// affinity is not a repair goal). The second return is a strictly convex
+// tiebreaker — the sum of squared MSB loads — compared lexicographically
+// after the cost: when several MSBs tie at the envelope, a single move
+// cannot lower τ·max (zero cost delta), but moves that equalize loads
+// strictly shrink the squared sum and walk the plateau until the envelope
+// can actually drop. Buffer rows pin it to zero so cost-neutral churn is
+// never accepted there.
 func (v *resView) localCost(cfg Config) (cost, sq float64) {
-	if v.spec.isBuffer {
-		// Buffer rows have no spread goals and no envelope subtraction
-		// (expression 6 reduces to total ≥ C_r): cost is purely the
-		// unmet-capacity penalty, and the plateau tiebreaker is pinned to
-		// zero so cost-neutral churn is never accepted.
-		return cfg.SoftPenalty * math.Max(0, v.cr-v.total), 0
-	}
-	env := 0.0
-	spread := 0.0
-	for _, s := range v.sumMSB {
-		if s > env {
-			env = s
+	spread, buffer, short := cfg.specTerms(&v.spec, v.sumMSB, v.total)
+	if !v.spec.isBuffer {
+		for _, s := range v.sumMSB {
+			sq += s * s
 		}
-		spread += cfg.Beta * math.Max(0, s-v.alphaF*v.cr)
-		sq += s * s
 	}
-	return spread + cfg.Tau*env + cfg.SoftPenalty*math.Max(0, v.cr-(v.total-env)), sq
+	return spread + buffer + cfg.soft(short), sq
 }
 
 // buildView assembles a spec's mutable repair state from the current
 // targets: per-MSB loads and sorted member lists over usable servers the
 // spec values. Every per-type shared-buffer spec shares the SharedBuffer
 // target ID; the specValue filter keeps each view on its own type.
-func buildView(in Input, cfg Config, targets []reservation.ID, spec resSpec) *resView {
+func buildView(in Input, targets []reservation.ID, spec resSpec) *resView {
 	v := &resView{
-		spec:   spec,
-		cr:     spec.res.RRUs,
-		alphaF: spec.res.Policy.SpreadMSB,
-		sumMSB: make([]float64, in.Region.NumMSBs),
+		spec:    spec,
+		sumMSB:  make([]float64, in.Region.NumMSBs),
+		members: make([][]topology.ServerID, in.Region.NumMSBs),
 	}
-	if exactZero(v.alphaF) {
-		v.alphaF = cfg.AlphaMSB
-	}
-	v.members = make([][]topology.ServerID, in.Region.NumMSBs)
 	for i := range in.Region.Servers {
 		if targets[i] != spec.outID || unusable(&in.States[i]) {
 			continue
@@ -176,7 +160,7 @@ func buildView(in Input, cfg Config, targets []reservation.ID, spec resSpec) *re
 func repairSpec(in Input, cfg Config, targets []reservation.ID,
 	spec resSpec, free []topology.ServerID, stats *RepairStats) []topology.ServerID {
 
-	v := buildView(in, cfg, targets, spec)
+	v := buildView(in, targets, spec)
 
 	// value/moveCost/wearCost of a single server under this reservation.
 	value := func(id topology.ServerID) float64 {
@@ -185,31 +169,15 @@ func repairSpec(in Input, cfg Config, targets []reservation.ID,
 	}
 	moveDelta := func(id topology.ServerID, acquiring bool) float64 {
 		st := &in.States[id]
-		d := 0.0
+		d := cfg.wearCost(in, id, &v.spec)
 		if st.Current == v.spec.outID {
 			// Releasing a current member starts paying M_s; re-acquiring one
 			// stops paying it. Servers current elsewhere already pay their
 			// move either way.
-			m := cfg.MoveCostIdle
-			if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
-				m = cfg.MoveCostInUse
-			}
-			if acquiring {
-				d -= m
-			} else {
-				d += m
-			}
+			d -= cfg.moveCost(st)
 		}
-		if cfg.WearPenalty > 0 && !v.spec.isBuffer &&
-			in.Region.Catalog.Type(in.Region.Servers[id].Type).FlashTB > 0 {
-			if b := wearBucket(st.FlashWear); b > 0 {
-				w := cfg.WearPenalty * float64(b)
-				if acquiring {
-					d += w
-				} else {
-					d -= w
-				}
-			}
+		if !acquiring {
+			d = -d
 		}
 		return d
 	}
@@ -322,7 +290,7 @@ func repairSpec(in Input, cfg Config, targets []reservation.ID,
 		dv := donorViews[id]
 		if dv == nil {
 			d := donorOf[id]
-			dv = buildView(in, cfg, targets, resSpec{res: *d, outID: d.ID, countBased: d.CountBased})
+			dv = buildView(in, targets, resSpec{res: *d, outID: d.ID, countBased: d.CountBased})
 			donorViews[id] = dv
 		}
 		return dv
@@ -491,27 +459,15 @@ func repairSpec(in Input, cfg Config, targets []reservation.ID,
 					dCost2, dSq2 = dv.localCost(cfg)
 					dv.sumMSB[bfMSB] -= bval
 					dv.total -= bval
-					bst := &in.States[bfID]
-					if bst.Current == donorID {
-						bm := cfg.MoveCostIdle
-						if bst.Containers > 0 && bst.LoanedTo == reservation.Unassigned {
-							bm = cfg.MoveCostInUse
-						}
-						bfMove -= bm // donor recovers its own server: move charge ends
+					if bst := &in.States[bfID]; bst.Current == donorID {
+						bfMove -= cfg.moveCost(bst) // donor recovers its own server: move charge ends
 					}
-					if cfg.WearPenalty > 0 && in.Region.Catalog.Type(bsrv.Type).FlashTB > 0 {
-						if b := wearBucket(bst.FlashWear); b > 0 {
-							bfMove += cfg.WearPenalty * float64(b)
-						}
-					}
+					bfMove += cfg.wearCost(in, bfID, &dv.spec)
 				}
 				dv.sumMSB[stealMSB] += dval
 				dv.total += dval
 				st := &in.States[stealID]
-				m := cfg.MoveCostIdle
-				if st.Containers > 0 && st.LoanedTo == reservation.Unassigned {
-					m = cfg.MoveCostInUse
-				}
+				m := cfg.moveCost(st)
 				stab := 0.0
 				switch st.Current {
 				case v.spec.outID:

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -43,11 +42,6 @@ import (
 	"ras/internal/reservation"
 	"ras/internal/topology"
 )
-
-// debugSlack logs residual soft-constraint slack per reservation when the
-// RAS_DEBUG_SLACK environment variable is set — a production-style
-// visibility hook (§5.3: explain capacity decisions to service owners).
-var debugSlack = os.Getenv("RAS_DEBUG_SLACK") != ""
 
 // exactZero reports whether v is exactly zero — the zero-value "knob unset"
 // sentinel in Config and Policy fields. A raslint floatcmp designated
@@ -795,9 +789,6 @@ func solvePhase(ctx context.Context, in Input, cfg Config, specs []resSpec, pool
 		out.counts = counts
 		for _, sv := range bp.capSlackVars {
 			out.stats.SoftSlack += r.X[sv]
-			if debugSlack && r.X[sv] > 1e-6 {
-				fmt.Printf("SLACK %s = %.3f\n", m.VarName(sv), r.X[sv])
-			}
 		}
 		for _, sv := range bp.affSlackVars {
 			out.stats.SoftSlack += r.X[sv]
@@ -917,11 +908,7 @@ func pickPhase2(in Input, cfg Config, specs []resSpec, targets []reservation.ID)
 		crByID[s.outID] += s.res.RRUs
 		classByID[s.outID] = s.res.Class
 		countBased[s.outID] = s.countBased
-		a := s.res.Policy.SpreadRack
-		if exactZero(a) {
-			a = cfg.AlphaRack
-		}
-		alphaByID[s.outID] = a
+		alphaByID[s.outID] = cfg.alphaK(s)
 	}
 	for i := range in.Region.Servers {
 		id := targets[i]

@@ -99,7 +99,8 @@ const (
 )
 
 // Backends lists the registered solver backends selectable via
-// Options.Backend or System.SolveWith ("mip" and "localsearch" by default).
+// Options.Backend or System.SolveWith ("mip", "localsearch" and "pop" by
+// default).
 func Backends() []string { return backend.Names() }
 
 // NewRegion generates a synthetic region from the spec.
@@ -113,11 +114,11 @@ type Options struct {
 	// Backend names the optimization backend Solve uses: "mip" (default)
 	// or "localsearch", or any name registered with the backend registry.
 	Backend string
-	// Solver tunes the async solver (MIP backend); the zero value selects
-	// defaults.
+	// Solver tunes the async solver (MIP backend) and holds the objective
+	// weights every backend is scored by; the zero value selects defaults.
 	Solver SolverConfig
-	// LocalSearch tunes the local-search backend; the zero value selects
-	// defaults.
+	// LocalSearch tunes the local-search backend's search; its objective
+	// weights come from Solver. The zero value selects defaults.
 	LocalSearch LocalSearchConfig
 	// Health sets failure-injection rates; the zero value selects
 	// health.DefaultConfig().
